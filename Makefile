@@ -7,7 +7,7 @@ GO ?= go
 # to make a failing build pass.
 COVER_MIN ?= 75
 
-.PHONY: build test vet race bench bench-json bench-check lifecycle-e2e serve-smoke verify fmt fmt-check cover lint vulncheck tidy-check
+.PHONY: build test vet race bench bench-json bench-check perfbench-check lifecycle-e2e serve-smoke verify fmt fmt-check cover lint vulncheck tidy-check
 
 # Relative slowdown bench-check tolerates before failing, in percent.
 # Benchmarks at -benchtime 1x are noisy; 30% separates "regressed" from
@@ -154,6 +154,19 @@ bench-check:
 			exit fail; \
 		}' BENCH_pipeline.json bench_check.txt
 
+# perfbench-check runs the benchmark's own checks: the perfbench module's
+# tests, then a 4-second wire-binary run through perfbench/run.sh. It fails
+# unless the run's last line, its JSON result, reports "correct": true —
+# the gate that checks the fleet's final state against the load
+# generator's ledger. The figures themselves are not judged here.
+perfbench-check:
+	cd perfbench && $(GO) test ./...
+	@bash perfbench/run.sh --workload wire-binary --seed 1 --seconds 4 --trace 0 > perfbench_check.txt; \
+	status=$$?; cat perfbench_check.txt; \
+	tail -n 1 perfbench_check.txt | grep -q '"correct": *true' && [ $$status = 0 ] \
+		|| { echo "perfbench-check: the benchmark run failed its correctness gate (exit $$status)"; exit 1; }; \
+	echo "perfbench-check: OK"
+
 # lifecycle-e2e runs the self-healing headline proof on its own: a mid-run
 # physics perturbation must trip the drift alarm, retrain on post-drift
 # evidence, pass the shadow gate, hot-swap, and end the run healthy — all
@@ -168,8 +181,9 @@ lifecycle-e2e:
 # flash-crowd arrival trace over the wire with loadgen (which exits
 # non-zero if any request errors and propagates deterministic trace ids),
 # pull /debug/flightrecorder and require a non-empty dump with zero
-# dropped events that the flightrec reader can render, then SIGTERM the
-# server and require a graceful drain. The subshell traps EXIT so the
+# dropped events that the flightrec reader can render, require /metrics to
+# export the collector's straggler-wait counters and per-lane arrival-gap
+# gauges, then SIGTERM the server and require a graceful drain. The subshell traps EXIT so the
 # server never outlives a failed run; the dump lands in
 # flightrecorder.json, which CI archives.
 serve-smoke:
@@ -193,6 +207,12 @@ serve-smoke:
 		|| { echo "serve-smoke: no admit events in the flight recorder"; exit 1; }; \
 	./bin/gaugur flightrec -in flightrecorder.json -expand 1 > /dev/null \
 		|| { echo "serve-smoke: flightrec reader choked on the dump"; exit 1; }; \
+	curl -sf http://127.0.0.1:18080/metrics -o serve_smoke_metrics.txt \
+		|| { echo "serve-smoke: metrics fetch failed"; exit 1; }; \
+	for m in gaugur_admission_straggler_waits_total gaugur_admission_straggler_skips_total \
+		'gaugur_admission_arrival_gap_seconds{lane="0"}' 'gaugur_admission_arrival_gap_seconds{lane="1"}'; do \
+		grep -qF "$$m" serve_smoke_metrics.txt || { echo "serve-smoke: /metrics lacks $$m"; exit 1; }; \
+	done; \
 	kill -TERM $$pid; \
 	wait $$pid || { echo "serve-smoke: server exited non-zero"; cat serve_smoke.log; exit 1; }; \
 	trap - EXIT; \

@@ -58,6 +58,13 @@ type BatchScorer interface {
 	ScoreStates(states [][]int, dst []float64) []float64
 }
 
+// GameSet is implemented by a BatchScorer that can score only a fixed set
+// of games: the predictor-backed scorer knows exactly the games of its
+// profile set. A scorer without it accepts every game id.
+type GameSet interface {
+	Known(game int) bool
+}
+
 // ScorerFunc adapts a single-state sched.Scorer (which must be pure and
 // goroutine-safe) to BatchScorer.
 type ScorerFunc func(games []int) float64
@@ -332,6 +339,15 @@ func (c *Cluster) Close() {
 		close(sh.reqs)
 	}
 	c.wg.Wait()
+}
+
+// Known reports whether the cluster's scorer can score game: true unless
+// the scorer is a GameSet that lacks it. Safe from any goroutine. The
+// admission front end checks it before queueing, so an unknown id never
+// reaches a shard goroutine.
+func (c *Cluster) Known(game int) bool {
+	gs, ok := c.cfg.Scorer.(GameSet)
+	return !ok || gs.Known(game)
 }
 
 // Stats returns the lifetime counters. Safe to call while concurrent

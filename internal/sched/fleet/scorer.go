@@ -31,6 +31,9 @@ func NewPredictorScorer(p *core.Predictor) BatchScorer {
 	}
 }
 
+// Known implements GameSet: only games with a profile can be scored.
+func (ps *predictorScorer) Known(game int) bool { return ps.p.Profiles.Get(game) != nil }
+
 func (ps *predictorScorer) ScoreStates(states [][]int, dst []float64) []float64 {
 	b := ps.pool.Get().(*scorerBufs)
 	total := 0

@@ -32,7 +32,8 @@ const (
 	binOpAdmitTraced = 3
 
 	// BinOK through BinBadRequest are the response status codes, aligned
-	// with the HTTP mapping (429/503/409/404/400).
+	// with the HTTP mapping (429/503/409/404/400). BinBadRequest answers a
+	// malformed frame and an unknown game id alike.
 	BinOK          = 0
 	BinQueueFull   = 1
 	BinDraining    = 2
@@ -68,7 +69,7 @@ func binStatus(err error) byte {
 		return BinNoCapacity
 	case errors.Is(err, ErrUnknownSession):
 		return BinUnknownSess
-	default:
+	default: // ErrUnknownGame, or anything unmapped
 		return BinBadRequest
 	}
 }

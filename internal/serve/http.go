@@ -84,7 +84,11 @@ func (s *Server) Start(addr string) error {
 		return fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	s.http = &http.Server{Handler: s.mux}
+	s.http = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go s.http.Serve(ln)
 	return nil
 }
@@ -120,6 +124,17 @@ func (s *Server) Shutdown() error {
 	s.cfg.Pipeline.Close()
 	return err
 }
+
+// Edge limits. A client that trickles its headers is cut off after
+// readHeaderTimeout; an idle keep-alive connection is closed after
+// idleTimeout, long enough that pooled clients pausing between bursts keep
+// their connections. Admit and leave bodies hold one small JSON object, so
+// maxBodyBytes refuses anything larger with 413 before it is decoded.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxBodyBytes      = 4 << 10
+)
 
 // TraceHeader is the HTTP trace-propagation header: a 16-hex-digit trace
 // identifier minted by the client (the load generator derives it from its
@@ -169,7 +184,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // writeErr maps pipeline sentinels to HTTP semantics: queue-full and
 // draining are retryable (429/503 with Retry-After), saturation is 409,
-// an unknown session 404.
+// an unknown session 404, an unknown game 400.
 func writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -182,15 +197,32 @@ func writeErr(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusConflict, errResp{Error: err.Error()})
 	case errors.Is(err, ErrUnknownSession):
 		writeJSON(w, http.StatusNotFound, errResp{Error: err.Error()})
+	case errors.Is(err, ErrUnknownGame):
+		writeJSON(w, http.StatusBadRequest, errResp{Error: err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, errResp{Error: err.Error()})
 	}
 }
 
+// decodeBody reads a request's JSON body of at most maxBodyBytes into v;
+// false means it already answered 413 (too large) or 400 (malformed).
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, errResp{Error: "bad request: " + err.Error()})
+	return false
+}
+
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	var req admitReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errResp{Error: "bad request: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	pl, err := s.cfg.Pipeline.AdmitTraced(req.Game, headerTraceID(r))
@@ -205,8 +237,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req leaveReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errResp{Error: "bad request: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := s.cfg.Pipeline.LeaveTraced(req.Session, headerTraceID(r)); err != nil {

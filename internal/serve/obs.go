@@ -12,8 +12,14 @@ type admissionMetrics struct {
 	rejectedQueue    *obs.Counter
 	rejectedCapacity *obs.Counter
 	rejectedDraining *obs.Counter
+	rejectedUnknown  *obs.Counter
 	batches          *obs.Counter
-	queueDepth       *obs.Gauge
+	// waitsArmed and waitsSkipped count, per dispatch that could still
+	// take more ops, whether the collector armed the BatchDelay wait for
+	// stragglers or skipped it because arrivals were sparse.
+	waitsArmed   *obs.Counter
+	waitsSkipped *obs.Counter
+	queueDepth   *obs.Gauge
 	// batchSize distributes coalesced dispatch sizes — the whole point of
 	// the pipeline is pushing this toward the kernel's 16-wide chunk.
 	batchSize *obs.Histogram
@@ -45,6 +51,12 @@ func newAdmissionMetrics(r *obs.Registry) admissionMetrics {
 			"admits refused because every server was saturated"),
 		rejectedDraining: r.Counter("gaugur_admission_rejected_draining_total",
 			"requests refused during graceful drain"),
+		rejectedUnknown: r.Counter("gaugur_admission_rejected_unknown_game_total",
+			"admits refused because the scorer can't score the game id"),
+		waitsArmed: r.Counter("gaugur_admission_straggler_waits_total",
+			"dispatches that armed a wait for stragglers: estimated arrival gap shorter than the batch delay"),
+		waitsSkipped: r.Counter("gaugur_admission_straggler_skips_total",
+			"dispatches that skipped the straggler wait: estimated arrival gap not shorter than the batch delay"),
 		batches: r.Counter("gaugur_admission_batches_total",
 			"coalesced admit runs dispatched to the fleet"),
 		queueDepth: r.Gauge("gaugur_admission_queue_depth",

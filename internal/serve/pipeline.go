@@ -1,14 +1,16 @@
 // Package serve is the network-facing admission front end for the sharded
 // fleet dispatcher. Its core is a coalescing pipeline: concurrent arrival
 // requests land in a bounded MPSC queue, a collector goroutine drains up
-// to a batch window (or a small latency deadline, whichever fires first)
-// and submits the whole batch through fleet.PlaceBatch, so the power-of-k
-// shard probes and the compiled forest kernel run at full 16-wide
-// occupancy instead of one under-filled forest pass per arrival.
+// to a batch window and submits the whole batch through fleet.PlaceBatch,
+// so the power-of-k shard probes and the compiled forest kernel run at
+// full 16-wide occupancy instead of one under-filled forest pass per
+// arrival.
 //
-// The pipeline trades a bounded amount of queueing latency (the batch
-// window) for throughput; under light load the window never fills and the
-// deadline keeps p99 admission latency flat, while under heavy load the
+// The collector waits for stragglers only when arrivals are dense: each
+// lane estimates the gap between arrivals from their enqueue stamps and
+// arms the batch deadline only when that gap is shorter than it. Sparse
+// arrivals dispatch at once instead of paying for a wait that would catch
+// nothing; under heavy load the window fills from the queue, and a full
 // queue applies explicit backpressure (ErrQueueFull → HTTP 429) instead
 // of collapsing.
 //
@@ -36,7 +38,7 @@ import (
 )
 
 // Sentinel errors returned by Admit/Leave. The HTTP layer maps them to
-// status codes (429, 503, 409, 404).
+// status codes (429, 503, 409, 404, 400).
 var (
 	// ErrQueueFull: the bounded admission queue is at capacity —
 	// backpressure, retry later.
@@ -48,6 +50,9 @@ var (
 	ErrNoCapacity = errors.New("serve: no capacity")
 	// ErrUnknownSession: Leave named a session the fleet doesn't hold.
 	ErrUnknownSession = errors.New("serve: unknown session")
+	// ErrUnknownGame: Admit named a game the fleet's scorer can't score
+	// (see fleet.GameSet). Refused before queueing.
+	ErrUnknownGame = errors.New("serve: unknown game")
 )
 
 // PipelineConfig parameterizes the coalescing admission pipeline.
@@ -68,11 +73,14 @@ type PipelineConfig struct {
 	// <= 0 defaults to 16 — one full compiled-kernel chunk. 1 disables
 	// coalescing (singleton submission, the comparison baseline).
 	BatchWindow int
-	// BatchDelay is how long the collector waits for the window to fill
-	// once it holds at least one request; <= 0 means "don't wait": drain
-	// whatever is queued right now and dispatch. A small deadline
-	// (~200µs) trades that much p50 latency for fuller batches under
-	// moderate load.
+	// BatchDelay bounds how long the collector waits for stragglers once
+	// it has drained what is queued; <= 0 means "never wait". It is an
+	// upper bound applied only under dense arrivals: a lane waits only
+	// when its estimated arrival gap is shorter than BatchDelay, and then
+	// for at most two estimated gaps. Sparse arrivals dispatch at once. Go
+	// rounds a sub-millisecond timer up to about 1 ms when the process is
+	// idle, so an unconditional 200µs wait really cost ~1.1 ms per
+	// admission.
 	BatchDelay time.Duration
 	// QueueCap bounds the MPSC admission queue; <= 0 defaults to 256.
 	// A full queue rejects with ErrQueueFull rather than blocking.
@@ -168,6 +176,12 @@ type lane struct {
 	done   chan struct{}
 	caller *fleet.Caller
 
+	// Collector-owned arrival-gap estimate, fed the enqueue stamps of the
+	// ops the collector drains; untraced stamps count from epoch.
+	gap      arrivalGap
+	epoch    time.Time
+	gapGauge *obs.Gauge
+
 	// Collector-owned scratch, reused across dispatch cycles.
 	batch   []*pendingOp
 	games   []int
@@ -207,6 +221,9 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 			p:     p,
 			queue: make(chan *pendingOp, perLane),
 			done:  make(chan struct{}),
+			epoch: time.Now(),
+			gapGauge: cfg.Metrics.Gauge(fmt.Sprintf("gaugur_admission_arrival_gap_seconds{lane=%q}", fmt.Sprint(i)),
+				"the lane collector's estimate of the gap between arrivals (EWMA)"),
 		}
 		if cfg.Lanes > 1 {
 			l.caller = cfg.Cluster.NewCaller()
@@ -369,14 +386,13 @@ func (p *Pipeline) Admit(game int) (fleet.Placement, error) {
 // what Admit does.
 func (p *Pipeline) AdmitTraced(game int, traceID uint64) (fleet.Placement, error) {
 	p.met.requests.Inc()
+	if !p.cfg.Cluster.Known(game) {
+		p.met.rejectedUnknown.Inc()
+		return p.refuseAdmit(game, traceID, ErrUnknownGame)
+	}
 	if !p.enter() {
 		p.met.rejectedDraining.Inc()
-		op := p.getOp(opAdmit)
-		op.game = game
-		p.startOpTrace(op, traceID, "admission")
-		p.finishAdmit(op, fleet.Placement{}, ErrDraining)
-		p.pool.Put(op)
-		return fleet.Placement{}, ErrDraining
+		return p.refuseAdmit(game, traceID, ErrDraining)
 	}
 	op := p.getOp(opAdmit)
 	op.game = game
@@ -391,6 +407,17 @@ func (p *Pipeline) AdmitTraced(game int, traceID uint64) (fleet.Placement, error
 		return fleet.Placement{}, err
 	}
 	return res.placement, nil
+}
+
+// refuseAdmit answers an admit turned away before it reached a queue,
+// still recording its flight event and trace.
+func (p *Pipeline) refuseAdmit(game int, traceID uint64, err error) (fleet.Placement, error) {
+	op := p.getOp(opAdmit)
+	op.game = game
+	p.startOpTrace(op, traceID, "admission")
+	p.finishAdmit(op, fleet.Placement{}, err)
+	p.pool.Put(op)
+	return fleet.Placement{}, err
 }
 
 // Leave removes a session. Leaves ride the same queue as admits so the
@@ -437,6 +464,8 @@ func errOutcome(err error) string {
 		return "no-capacity"
 	case errors.Is(err, ErrUnknownSession):
 		return "unknown-session"
+	case errors.Is(err, ErrUnknownGame):
+		return "unknown-game"
 	default:
 		return "error"
 	}
@@ -458,6 +487,8 @@ func (p *Pipeline) finishAdmit(op *pendingOp, pl fleet.Placement, err error) {
 		ev.Kind = "reject-queue"
 	case errors.Is(err, ErrNoCapacity):
 		ev.Kind = "reject-capacity"
+	case errors.Is(err, ErrUnknownGame):
+		ev.Kind = "reject-unknown-game"
 	default:
 		ev.Kind = "reject-draining"
 	}
@@ -580,9 +611,8 @@ func (p *Pipeline) Stats() fleet.Stats {
 }
 
 // run is a lane's collector: block for the first op, coalesce up to the
-// window (bounded by the deadline when configured), dispatch, repeat.
-// Exits when the lane's queue is closed AND drained — the graceful-drain
-// guarantee, per lane.
+// window, dispatch, repeat. Exits when the lane's queue is closed AND
+// drained — the graceful-drain guarantee, per lane.
 func (l *lane) run() {
 	defer close(l.done)
 	var timer *time.Timer
@@ -597,9 +627,8 @@ func (l *lane) run() {
 		if !ok {
 			return
 		}
-		l.depth.Add(-1)
 		l.stampDrain(op)
-		l.batch = append(l.batch[:0], op)
+		l.take(op)
 		l.coalesce(timer, op.drainNS)
 		l.dispatch()
 	}
@@ -614,36 +643,54 @@ func (l *lane) stampDrain(op *pendingOp) {
 	}
 }
 
-// coalesce fills p.batch up to the window. With no deadline it drains
-// only what is already queued (never waits); with one it waits up to
-// BatchDelay for stragglers, so light load still forms partial batches
-// and heavy load fills the window before the timer fires. sweepNS is the
-// first op's drain stamp: the non-blocking sweep empties the queue within
-// microseconds, so every op it drains shares that stamp instead of paying
-// a clock read each (the deadline path re-stamps per op — its waits are
-// real).
+// take adds a drained op to the batch and feeds its enqueue stamp to the
+// arrival-gap estimate: the trace root's start when tracing, op.enq
+// otherwise — the clock read the producer already made.
+func (l *lane) take(op *pendingOp) {
+	l.depth.Add(-1)
+	stamp := op.enqNS
+	if l.p.cfg.Tracer == nil {
+		stamp = int64(op.enq.Sub(l.epoch))
+	}
+	l.gap.observe(stamp)
+	l.batch = append(l.batch, op)
+}
+
+// coalesce fills l.batch up to the window. It first sweeps what is already
+// queued without blocking; the sweep empties the queue within microseconds,
+// so every op it drains shares sweepNS, the first op's drain stamp, instead
+// of paying a clock read each. Then, if a deadline is configured and the
+// window is still short, it waits for stragglers only when the lane's
+// arrival gap says another arrival is likely soon (arrivalGap.wait), and
+// re-stamps each op it catches — those waits are real.
 func (l *lane) coalesce(timer *time.Timer, sweepNS int64) {
 	p := l.p
-	if timer == nil {
-		traced := p.cfg.Tracer != nil
-		for len(l.batch) < p.window {
-			select {
-			case op, ok := <-l.queue:
-				if !ok {
-					return
-				}
-				l.depth.Add(-1)
-				if traced {
-					op.drainNS = sweepNS
-				}
-				l.batch = append(l.batch, op)
-			default:
+	traced := p.cfg.Tracer != nil
+sweep:
+	for len(l.batch) < p.window {
+		select {
+		case op, ok := <-l.queue:
+			if !ok {
 				return
 			}
+			if traced {
+				op.drainNS = sweepNS
+			}
+			l.take(op)
+		default:
+			break sweep
 		}
+	}
+	if timer == nil || len(l.batch) >= p.window {
 		return
 	}
-	timer.Reset(p.cfg.BatchDelay)
+	d, ok := l.gap.wait(p.cfg.BatchDelay)
+	if !ok {
+		p.met.waitsSkipped.Inc()
+		return
+	}
+	p.met.waitsArmed.Inc()
+	timer.Reset(d)
 	defer func() {
 		if !timer.Stop() {
 			select {
@@ -658,13 +705,49 @@ func (l *lane) coalesce(timer *time.Timer, sweepNS int64) {
 			if !ok {
 				return
 			}
-			l.depth.Add(-1)
 			l.stampDrain(op)
-			l.batch = append(l.batch, op)
+			l.take(op)
 		case <-timer.C:
 			return
 		}
 	}
+}
+
+// arrivalGap estimates a lane's gap between arrivals: an EWMA (α = 1/8,
+// seeded by the first gap) over the enqueue stamps of the ops the collector
+// drains, in drain order. Only the collector touches it, so it needs no
+// atomics. A stamp older than the newest one seen (producers race between
+// stamping and enqueueing) counts as a zero gap.
+type arrivalGap struct {
+	last int64 // newest enqueue stamp seen, ns
+	ewma int64 // estimated gap, ns; valid once n == 2
+	n    int   // stamps seen, saturating at 2
+}
+
+func (g *arrivalGap) observe(stamp int64) {
+	switch g.n {
+	case 0:
+		g.last, g.n = stamp, 1
+		return
+	case 1:
+		g.ewma, g.n = max(stamp-g.last, 0), 2
+	default:
+		g.ewma += (max(stamp-g.last, 0) - g.ewma) / 8
+	}
+	g.last = max(g.last, stamp)
+}
+
+// wait decides the straggler wait under a delay bound. It arms one (ok)
+// only once a gap has been seen and the estimate is shorter than delay —
+// another arrival is then likely inside the deadline — and bounds it by two
+// estimated gaps, which catch the next Poisson arrival 86% of the time. The
+// bound matters for a closed-loop client, whose next arrival waits for this
+// answer: a wait of the full delay would be pure latency.
+func (g *arrivalGap) wait(delay time.Duration) (d time.Duration, ok bool) {
+	if g.n < 2 || g.ewma >= int64(delay) {
+		return 0, false
+	}
+	return min(delay, 2*time.Duration(g.ewma)), true
 }
 
 // dispatch runs one coalesced batch against the cluster. Consecutive
@@ -679,6 +762,7 @@ func (l *lane) dispatch() {
 	p := l.p
 	sp := p.met.dispatch.Start()
 	p.met.queueDepth.Set(float64(p.QueueDepth()))
+	l.gapGauge.Set(time.Duration(l.gap.ewma).Seconds())
 	if p.cfg.Tracer != nil {
 		// Traced ops observe queue wait on the tracer's clock — the same
 		// dispatch stamp the coalesce span uses, so the batch costs one
